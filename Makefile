@@ -141,7 +141,7 @@ fuzz:
 # CI-sized fuzz pass: 10 seconds per target across every fuzzed package
 # (rank correlation, frontier shared order, pragma preprocessing,
 # checkpoint decoding, select-request wire decoding, lint summary
-# encoding).
+# encoding, math/rand-exact stream seeding).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzKendallTauRanks -fuzztime 10s ./internal/stats
 	$(GO) test -run '^$$' -fuzz FuzzSharedOrder -fuzztime 10s ./internal/pareto
@@ -149,6 +149,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzCheckpointDecode -fuzztime 10s ./internal/checkpoint
 	$(GO) test -run '^$$' -fuzz FuzzSelectRequestDecode -fuzztime 10s ./internal/query
 	$(GO) test -run '^$$' -fuzz FuzzSummaryRoundTrip -fuzztime 10s ./internal/lint
+	$(GO) test -run '^$$' -fuzz FuzzStreamMatchesMathRand -fuzztime 10s ./internal/detrand
 
 clean:
 	rm -rf out/ model.json profiles.json lint.sarif query-summary.json $(LINT_CACHE)

@@ -17,6 +17,7 @@ import (
 	"acsel/internal/cluster"
 	"acsel/internal/core"
 	"acsel/internal/eval"
+	"acsel/internal/fault"
 	"acsel/internal/hierarchy"
 	"acsel/internal/kernels"
 	"acsel/internal/profiler"
@@ -743,5 +744,36 @@ func BenchmarkExtensionStudy(b *testing.B) {
 		case "+log+va":
 			b.ReportMetric(r.ModelFLPctUnder*100, "modelFL_under_log_va")
 		}
+	}
+}
+
+// BenchmarkFaultAt resolves one fault decision per op under the blackout
+// scenario (every seam's rules active) at the SMU seam, the hottest
+// site of a chaos sweep. Most events fire no rule, so allocs/op stays
+// near zero; each op walks all four SMU rules.
+func BenchmarkFaultAt(b *testing.B) {
+	sc, ok := fault.ScenarioByName("blackout")
+	if !ok {
+		b.Fatal("no blackout scenario")
+	}
+	in := fault.NewInjector(sc, 1)
+	b.ReportAllocs()
+	fired := 0
+	for i := 0; i < b.N; i++ {
+		fired += len(in.At(fault.SiteSMU, "LULESH/Small/CalcQForElems|3", i))
+	}
+	b.ReportMetric(float64(fired)/float64(b.N), "faults/op")
+}
+
+// drawSink keeps BenchmarkIterationRNG's draws observable.
+var drawSink float64
+
+// BenchmarkIterationRNG builds one profiler noise stream per op and
+// takes its first two draws.
+func BenchmarkIterationRNG(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		rng := kernels.IterationRNG("LULESH/Small/CalcQForElems", 17, i)
+		drawSink = rng.NormFloat64() + rng.Float64()
 	}
 }

@@ -81,7 +81,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "metrics: serving http://%s/metrics (and /debug/pprof)\n", addr)
 	}
 
-	if err := run(*exp, *iters, *k, *foldWorkers, *csvDir, *chaosScenario, *chaosSeed, *modelCache); err != nil {
+	if err := run(os.Stdout, *exp, *iters, *k, *foldWorkers, *csvDir, *chaosScenario, *chaosSeed, *modelCache); err != nil {
 		fmt.Fprintln(os.Stderr, "acsel-bench:", err)
 		os.Exit(1)
 	}
@@ -94,7 +94,9 @@ func main() {
 	}
 }
 
-func run(exp string, iters, k, foldWorkers int, csvDir, chaosScenario string, chaosSeed int64, modelCache string) error {
+// run executes the selected experiments, printing their reports to
+// stdout and progress notes to stderr.
+func run(stdout io.Writer, exp string, iters, k, foldWorkers int, csvDir, chaosScenario string, chaosSeed int64, modelCache string) error {
 	selected := map[string]bool{}
 	if exp == "all" {
 		for _, e := range experiments {
@@ -134,13 +136,13 @@ func run(exp string, iters, k, foldWorkers int, csvDir, chaosScenario string, ch
 			return fmt.Errorf("%s: %w", name, err)
 		}
 		if selected[name] {
-			fmt.Println(body)
+			fmt.Fprintln(stdout, body)
 		}
 		return nil
 	}
 
 	if selected["fig1"] {
-		fmt.Println(eval.ReportFig1())
+		fmt.Fprintln(stdout, eval.ReportFig1())
 	}
 	t1, err := ev.ReportTable1(space)
 	if err := emit("table1", t1, err); err != nil {
@@ -155,10 +157,10 @@ func run(exp string, iters, k, foldWorkers int, csvDir, chaosScenario string, ch
 		if err != nil {
 			return err
 		}
-		fmt.Println(plot)
+		fmt.Fprintln(stdout, plot)
 	}
 	if selected["table2"] {
-		fmt.Println(eval.ReportTable2())
+		fmt.Fprintln(stdout, eval.ReportTable2())
 	}
 	if selected["fig3"] {
 		// Show the LULESH fold's tree, as an arbitrary representative.
@@ -166,19 +168,19 @@ func run(exp string, iters, k, foldWorkers int, csvDir, chaosScenario string, ch
 		if err != nil {
 			return err
 		}
-		fmt.Println(f3)
+		fmt.Fprintln(stdout, f3)
 	}
 	if selected["table3"] {
-		fmt.Println(ev.ReportTable3())
+		fmt.Fprintln(stdout, ev.ReportTable3())
 	}
 	if selected["fig4"] {
-		fmt.Println(ev.ReportFig4())
+		fmt.Fprintln(stdout, ev.ReportFig4())
 	}
 	if selected["fig5"] {
-		fmt.Println(ev.ReportFig5())
+		fmt.Fprintln(stdout, ev.ReportFig5())
 	}
 	if selected["fig6"] {
-		fmt.Println(ev.ReportFig6())
+		fmt.Fprintln(stdout, ev.ReportFig6())
 	}
 	f7, err := ev.ReportFig7(space)
 	if err := emit("fig7", f7, err); err != nil {
@@ -189,30 +191,30 @@ func run(exp string, iters, k, foldWorkers int, csvDir, chaosScenario string, ch
 		if err != nil {
 			return err
 		}
-		fmt.Println(plot)
+		fmt.Fprintln(stdout, plot)
 	}
 	if selected["fig8"] {
-		fmt.Println(ev.ReportFig8())
+		fmt.Fprintln(stdout, ev.ReportFig8())
 	}
 	if selected["fig9"] {
-		fmt.Println(ev.ReportFig9())
+		fmt.Fprintln(stdout, ev.ReportFig9())
 	}
 	if selected["accuracy"] {
 		acc, err := ev.ReportAccuracy()
 		if err != nil {
 			return err
 		}
-		fmt.Println(acc)
+		fmt.Fprintln(stdout, acc)
 	}
 	if selected["suite"] {
-		fmt.Println(kernels.ReportSuite())
+		fmt.Fprintln(stdout, kernels.ReportSuite())
 	}
 	if selected["worst"] {
 		w, err := ev.ReportWorstPredicted(10)
 		if err != nil {
 			return err
 		}
-		fmt.Println(w)
+		fmt.Fprintln(stdout, w)
 	}
 	if selected["chaos"] {
 		scenarios := fault.Scenarios()
@@ -229,7 +231,7 @@ func run(exp string, iters, k, foldWorkers int, csvDir, chaosScenario string, ch
 		if err != nil {
 			return err
 		}
-		fmt.Println(rep.Report())
+		fmt.Fprintln(stdout, rep.Report())
 	}
 	if selected["extensions"] {
 		fmt.Fprintln(os.Stderr, "running extension study (4 full evaluations)...")
@@ -237,7 +239,7 @@ func run(exp string, iters, k, foldWorkers int, csvDir, chaosScenario string, ch
 		if err != nil {
 			return err
 		}
-		fmt.Println(eval.ReportExtensionStudy(results))
+		fmt.Fprintln(stdout, eval.ReportExtensionStudy(results))
 	}
 	if csvDir != "" {
 		if err := exportCSV(csvDir, ev); err != nil {
@@ -251,7 +253,7 @@ func run(exp string, iters, k, foldWorkers int, csvDir, chaosScenario string, ch
 		}
 		sort.Strings(folds)
 		for _, f := range folds {
-			fmt.Printf("cluster assignments (fold holding out %s):\n%s\n", f, eval.ReportClusterAssignments(ev.FoldModels[f]))
+			fmt.Fprintf(stdout, "cluster assignments (fold holding out %s):\n%s\n", f, eval.ReportClusterAssignments(ev.FoldModels[f]))
 		}
 	}
 	return nil

@@ -11,19 +11,23 @@
 // A fault plan is (scenario name, seed): every fault decision is
 // resolved by hashing the plan identity together with the event's own
 // identity (site, key, iteration), exactly like the repo's
-// kernels.IterationRNG noise streams. Two runs of the same plan
-// therefore inject the identical fault sequence regardless of
-// goroutine scheduling or call order — chaos runs replay bit-for-bit.
-// A nil *Injector injects nothing, so callers need no enabled checks.
+// kernels.IterationRNG noise streams. The hash seeds a math/rand
+// stream whose first Float64 decides the event; detrand.Float64
+// derives that draw in closed form, bit-identical to seeding the
+// stream, without building it. Two runs of the same plan therefore
+// inject the identical fault sequence regardless of goroutine
+// scheduling or call order — chaos runs replay bit-for-bit. A nil
+// *Injector injects nothing, so callers need no enabled checks.
 package fault
 
 import (
 	"fmt"
 	"hash/fnv"
-	"math/rand"
 	"sort"
 	"strconv"
 	"strings"
+
+	"acsel/internal/detrand"
 )
 
 // Kind enumerates the injectable fault classes.
@@ -209,8 +213,7 @@ func (in *Injector) At(site Site, key string, iter int) []Fault {
 		if r.Site != site || r.Prob <= 0 {
 			continue
 		}
-		rng := eventRNG(in.scenario.Name, in.seed, site, key, iter, ri)
-		if rng.Float64() >= r.Prob {
+		if detrand.Float64(eventSeed(in.scenario.Name, in.seed, site, key, iter, ri)) >= r.Prob {
 			continue
 		}
 		f := Fault{Kind: r.Kind, Magnitude: r.Magnitude}
@@ -240,15 +243,26 @@ func (in *Injector) Active(site Site) bool {
 	return false
 }
 
-// eventRNG derives the deterministic decision stream for one
-// (plan, event, rule) tuple.
-func eventRNG(scenario string, seed int64, site Site, key string, iter, rule int) *rand.Rand {
+// eventSeed hashes one (plan, event, rule) tuple with FNV-1a over
+// "scenario|seed|site|key|iter|rule". The input is built in a stack
+// buffer, so a decision allocates nothing unless the key is unusually
+// long.
+func eventSeed(scenario string, seed int64, site Site, key string, iter, rule int) int64 {
+	var buf [128]byte
+	b := append(buf[:0], scenario...)
+	b = append(b, '|')
+	b = strconv.AppendInt(b, seed, 10)
+	b = append(b, '|')
+	b = strconv.AppendInt(b, int64(site), 10)
+	b = append(b, '|')
+	b = append(b, key...)
+	b = append(b, '|')
+	b = strconv.AppendInt(b, int64(iter), 10)
+	b = append(b, '|')
+	b = strconv.AppendInt(b, int64(rule), 10)
 	h := fnv.New64a()
-	_, _ = h.Write([]byte(scenario)) // hash.Hash.Write never returns an error
-	fmt.Fprintf(h, "|%d|%d|", seed, int(site))
-	_, _ = h.Write([]byte(key)) // hash.Hash.Write never returns an error
-	fmt.Fprintf(h, "|%d|%d", iter, rule)
-	return rand.New(rand.NewSource(int64(h.Sum64())))
+	_, _ = h.Write(b) // hash.Hash.Write never returns an error
+	return int64(h.Sum64())
 }
 
 // EventKey builds the canonical event key used across seams:

@@ -2,7 +2,10 @@ package fault
 
 import (
 	"errors"
+	"fmt"
+	"hash/fnv"
 	"math"
+	"math/rand"
 	"reflect"
 	"strings"
 	"sync"
@@ -301,5 +304,67 @@ func TestScenarioValidate(t *testing.T) {
 	}}
 	if err := ok.Validate(); err != nil {
 		t.Errorf("cross-site rule pair rejected: %v", err)
+	}
+}
+
+// TestEventSeedHashesTheOriginalBytes pins the decision hash input to
+// the formatted form every fault schedule has been derived from:
+// scenario, "|seed|site|", key, "|iter|rule".
+func TestEventSeedHashesTheOriginalBytes(t *testing.T) {
+	cases := []struct {
+		scenario   string
+		seed       int64
+		site       Site
+		key        string
+		iter, rule int
+	}{
+		{"blackout", 1, SiteSMU, "LULESH/Small/CalcQForElems|3", 0, 0},
+		{"sensor-drift", -42, SiteKernel, "", 17, 3},
+		{"", math.MinInt64, SiteNet, "fleet/node-7#r2", -1, 11},
+		{"net-flaky", math.MaxInt64, Site(99), strings.Repeat("k", 300), math.MaxInt, 0},
+	}
+	for _, c := range cases {
+		h := fnv.New64a()
+		fmt.Fprintf(h, "%s|%d|%d|%s|%d|%d", c.scenario, c.seed, int(c.site), c.key, c.iter, c.rule)
+		if got, want := eventSeed(c.scenario, c.seed, c.site, c.key, c.iter, c.rule), int64(h.Sum64()); got != want {
+			t.Errorf("eventSeed(%+v) = %#x, want %#x", c, got, want)
+		}
+	}
+}
+
+// TestAtDecidesLikeASeededStream checks each decision against the first
+// Float64 of the math/rand stream seeded by the event hash.
+func TestAtDecidesLikeASeededStream(t *testing.T) {
+	sc := Scenario{Name: "half", Rules: []Rule{
+		{Site: SiteSMU, Kind: SensorDropout, Prob: 0.5},
+		{Site: SiteSMU, Kind: SensorSpike, Prob: 0.25, Magnitude: 3},
+	}}
+	in := NewInjector(sc, 9)
+	for i := 0; i < 500; i++ {
+		key := EventKey("k", i)
+		var want []Fault
+		for ri, r := range sc.Rules {
+			if rand.New(rand.NewSource(eventSeed(sc.Name, 9, SiteSMU, key, i, ri))).Float64() < r.Prob {
+				want = append(want, Fault{Kind: r.Kind, Magnitude: r.Magnitude})
+			}
+		}
+		if got := in.At(SiteSMU, key, i); !reflect.DeepEqual(got, want) {
+			t.Fatalf("event %d: At = %v, want %v", i, got, want)
+		}
+	}
+}
+
+func TestAtWithoutFaultDoesNotAllocate(t *testing.T) {
+	sc, _ := ScenarioByName("blackout")
+	in := NewInjector(sc, 1)
+	key := "LULESH/Small/CalcQForElems|3"
+	// Find an event where no rule fires; the schedule is fixed, so the
+	// search is too.
+	iter := 0
+	for len(in.At(SiteSMU, key, iter)) > 0 {
+		iter++
+	}
+	if n := testing.AllocsPerRun(100, func() { in.At(SiteSMU, key, iter) }); n != 0 {
+		t.Errorf("At on a fault-free event allocates %v times", n)
 	}
 }

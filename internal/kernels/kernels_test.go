@@ -1,7 +1,11 @@
 package kernels
 
 import (
+	"fmt"
+	"hash/fnv"
 	"math"
+	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -263,5 +267,56 @@ func TestReportSuite(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("suite report missing %q", want)
 		}
+	}
+}
+
+// referenceRNG is the stream construction IterationRNG replaced:
+// formatted FNV-1a input and a seeded math/rand source.
+func referenceRNG(kernelID string, configID, iteration int) *rand.Rand {
+	h := fnv.New64a()
+	fmt.Fprintf(h, "%s|%d|%d", kernelID, configID, iteration)
+	return rand.New(rand.NewSource(int64(h.Sum64())))
+}
+
+func TestIterationRNGMatchesSeededMathRand(t *testing.T) {
+	ids := []string{"LULESH/Small/CalcQForElems", "", strings.Repeat("x", 200)}
+	for _, id := range ids {
+		for _, cfg := range []int{0, 7, 41, -1} {
+			for _, it := range []int{0, 1, 2, math.MaxInt} {
+				got, want := IterationRNG(id, cfg, it), referenceRNG(id, cfg, it)
+				for k := 0; k < 50; k++ {
+					if g, w := got.NormFloat64(), want.NormFloat64(); g != w {
+						t.Fatalf("IterationRNG(%q, %d, %d) draw %d = %v, want %v", id, cfg, it, k, g, w)
+					}
+				}
+			}
+		}
+	}
+}
+
+// rngSink keeps measured streams on the heap, as real callers do.
+var rngSink *rand.Rand
+
+// TestIterationRNGAllocatesNoMoreThanMathRand holds a whole
+// IterationRNG call, hashing included, to the cost of the bare
+// rand.New(rand.NewSource(seed)) pair it returns.
+func TestIterationRNGAllocatesNoMoreThanMathRand(t *testing.T) {
+	perStream := func(mk func(i int) *rand.Rand) (allocs, bytes uint64) {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+		const n = 1000
+		rngSink = mk(0)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < n; i++ {
+			rngSink = mk(i)
+		}
+		runtime.ReadMemStats(&after)
+		return (after.Mallocs - before.Mallocs) / n, (after.TotalAlloc - before.TotalAlloc) / n
+	}
+	gotA, gotB := perStream(func(i int) *rand.Rand { return IterationRNG("LULESH/Small/CalcQForElems", 17, i) })
+	refA, refB := perStream(func(i int) *rand.Rand { return rand.New(rand.NewSource(int64(i))) })
+	if gotA > refA || gotB > refB {
+		t.Errorf("IterationRNG costs %d allocs / %d B per stream, rand.New(rand.NewSource) %d / %d",
+			gotA, gotB, refA, refB)
 	}
 }

@@ -18,6 +18,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"acsel/internal/detrand"
 	"acsel/internal/metrics"
 	"acsel/internal/query"
 )
@@ -135,7 +136,7 @@ func Run(ctx context.Context, d Driver, cfg Config) (Summary, error) {
 		wg.Add(1)
 		go func(w, n int) {
 			defer wg.Done()
-			rng := rand.New(rand.NewSource(cfg.Seed + int64(w)*workerSeedStride))
+			rng := detrand.New(cfg.Seed + int64(w)*workerSeedStride)
 			parts[w] = runWorker(ctx, d, cfg, rng, n, now, hist, &done)
 		}(w, n)
 	}
