@@ -10,9 +10,9 @@ RACE_PKGS = ./internal/rts ./internal/sched ./internal/profiler ./internal/hiera
 # paths that clean tests never reach.
 CHAOS_PKGS = ./internal/rts ./internal/sched ./internal/power ./internal/fault ./internal/fleet
 
-.PHONY: all build vet lint lint-sarif lint-fix-check test test-race test-chaos test-crash test-fleet test-query metrics-check fmt-check bench repro csv fuzz fuzz-smoke clean
+.PHONY: all build vet lint lint-sarif lint-fix-check test test-race test-chaos test-crash test-fleet test-query metrics-check bench-check fmt-check bench repro csv fuzz fuzz-smoke clean
 
-all: build vet lint lint-fix-check test test-race test-chaos test-crash test-fleet test-query metrics-check
+all: build vet lint lint-fix-check test test-race test-chaos test-crash test-fleet test-query metrics-check bench-check
 
 # Where the cached lint results live (content-addressed; safe to share
 # across branches and restore in CI).
@@ -118,6 +118,13 @@ metrics-check:
 	done; \
 	rm -rf $$tmp; echo "metrics-check: snapshot inventory complete"
 
+# The repository benchmark (perfbench/, its own module, so the root
+# `go test ./...` skips it) vetted and smoke-tested against this tree:
+# an API break, or a moved Table III, Cases digest or served selection,
+# fails here rather than when the benchmark runs (~10 s).
+bench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
+
 # Fail if any file is not gofmt-clean (prints the offenders).
 fmt-check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
@@ -141,7 +148,7 @@ fuzz:
 # CI-sized fuzz pass: 10 seconds per target across every fuzzed package
 # (rank correlation, frontier shared order, pragma preprocessing,
 # checkpoint decoding, select-request wire decoding, lint summary
-# encoding, math/rand-exact stream seeding).
+# encoding, math/rand-exact stream seeding, cap-selection invariants).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzKendallTauRanks -fuzztime 10s ./internal/stats
 	$(GO) test -run '^$$' -fuzz FuzzSharedOrder -fuzztime 10s ./internal/pareto
@@ -150,6 +157,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzSelectRequestDecode -fuzztime 10s ./internal/query
 	$(GO) test -run '^$$' -fuzz FuzzSummaryRoundTrip -fuzztime 10s ./internal/lint
 	$(GO) test -run '^$$' -fuzz FuzzStreamMatchesMathRand -fuzztime 10s ./internal/detrand
+	$(GO) test -run '^$$' -fuzz FuzzSelectAmong -fuzztime 10s ./internal/core
 
 clean:
 	rm -rf out/ model.json profiles.json lint.sarif query-summary.json $(LINT_CACHE)

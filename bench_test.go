@@ -37,8 +37,8 @@ var (
 	gSpace   *apu.Space
 )
 
-func sharedEval(b *testing.B) (*eval.Evaluation, *apu.Space) {
-	b.Helper()
+func sharedEval(tb testing.TB) (*eval.Evaluation, *apu.Space) {
+	tb.Helper()
 	evalOnce.Do(func() {
 		h := eval.NewHarness()
 		h.Opts.Iterations = 3
@@ -46,7 +46,7 @@ func sharedEval(b *testing.B) (*eval.Evaluation, *apu.Space) {
 		gSpace = h.Profiler.Space
 	})
 	if evalErr != nil {
-		b.Fatal(evalErr)
+		tb.Fatal(evalErr)
 	}
 	return gEval, gSpace
 }
@@ -266,19 +266,59 @@ func BenchmarkFig9_OverLimitPerf(b *testing.B) {
 }
 
 // BenchmarkOnlineSelectionLatency validates the paper's §II claim that
-// each configuration selection takes well under one millisecond.
+// each configuration selection takes well under one millisecond: one
+// op is a new kernel's whole online decision, Predict then Select.
 func BenchmarkOnlineSelectionLatency(b *testing.B) {
-	ev, _ := sharedEval(b)
-	m := ev.FoldModels["LU"]
-	kp, _ := ev.ProfileByID(eval.Fig7KernelID)
-	sr := core.SampleRuns{CPU: kp.CPUSample, GPU: kp.GPUSample}
+	m, sr := onlineKernel(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := m.SelectUnderCap(sr, 22); err != nil {
+		pred, err := m.Predict(sr)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := pred.Select(22, 0); err != nil {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkPredict times the once-per-kernel half of the online
+// decision: classification plus the whole configuration space.
+func BenchmarkPredict(b *testing.B) {
+	m, sr := onlineKernel(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := m.Predict(sr); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkSelect times the once-per-cap half: a selection from an
+// already-predicted table, the work every cap change repeats.
+func BenchmarkSelect(b *testing.B) {
+	m, sr := onlineKernel(b)
+	pred, err := m.Predict(sr)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := pred.Select(22, 0); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// onlineKernel is the Fig. 7 kernel's sample runs with the fold model
+// that held it out.
+func onlineKernel(b *testing.B) (*core.Model, core.SampleRuns) {
+	ev, _ := sharedEval(b)
+	kp, _ := ev.ProfileByID(eval.Fig7KernelID)
+	return ev.FoldModels[kp.Benchmark], core.SampleRuns{CPU: kp.CPUSample, GPU: kp.GPUSample}
 }
 
 // --- Ablations (design choices from DESIGN.md §5) ---
@@ -351,16 +391,18 @@ func BenchmarkAblationVarianceAware(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		var baseMeets, vaMeets, total int
 		for _, kp := range ev.Profiles {
-			m := ev.FoldModels[kp.Benchmark]
-			sr := core.SampleRuns{CPU: kp.CPUSample, GPU: kp.GPUSample}
+			pred, err := ev.FoldModels[kp.Benchmark].Predict(core.SampleRuns{CPU: kp.CPUSample, GPU: kp.GPUSample})
+			if err != nil {
+				b.Fatal(err)
+			}
 			truth := sched.ProfileTruth{Profile: kp}
 			for _, pt := range kp.Frontier.Points() {
 				capW := pt.Power
-				base, err := m.SelectUnderCap(sr, capW)
+				base, err := pred.Select(capW, 0)
 				if err != nil {
 					b.Fatal(err)
 				}
-				va, err := m.SelectUnderCapVarAware(sr, capW, 1)
+				va, err := pred.Select(capW, 1)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -86,42 +86,29 @@ func run(modelPath, kernelID string, capW, z float64, showFrontier bool, remote 
 	if err != nil {
 		return err
 	}
-	sr := core.SampleRuns{CPU: cpuRun, GPU: gpuRun}
-
-	cl, err := model.Classify(sr)
+	pred, err := model.Predict(core.SampleRuns{CPU: cpuRun, GPU: gpuRun})
 	if err != nil {
 		return err
 	}
-	fmt.Printf("kernel %s -> cluster %d\n", kernelID, cl)
+	fmt.Printf("kernel %s -> cluster %d\n", kernelID, pred.Cluster)
 	fmt.Printf("sample runs: CPU %.4fs @ %.1f W, GPU %.4fs @ %.1f W\n",
 		cpuRun.TimeSec, cpuRun.TotalPowerW(), gpuRun.TimeSec, gpuRun.TotalPowerW())
 
 	if showFrontier {
-		frontier, _, err := model.PredictedFrontier(sr)
-		if err != nil {
-			return err
-		}
 		fmt.Println("predicted Pareto frontier (power W -> perf 1/s):")
-		for _, pt := range frontier.Points() {
+		for _, pt := range pred.Frontier().Points() {
 			cfg := model.Space.Configs[pt.ID]
 			fmt.Printf("  %6.1f W  %10.2f /s  %v\n", pt.Power, pt.Perf, cfg)
 		}
 	}
 
-	var sel core.Selection
-	if z > 0 {
-		sel, err = model.SelectUnderCapVarAware(sr, capW, z)
-	} else {
-		sel, err = model.SelectUnderCap(sr, capW)
-	}
+	sel, err := pred.Select(capW, z)
 	if err != nil {
 		return err
 	}
 	if !sel.MeetsCapPredicted {
-		// The fallback selection is the minimum-predicted-power config,
-		// so its predicted power is the model's feasibility floor.
 		return fmt.Errorf("%w: cap %.1f W < minimum feasible %.1f W for %s",
-			core.ErrCapInfeasible, capW, sel.Predicted.PowerW, kernelID)
+			core.ErrCapInfeasible, capW, pred.MinPowerW(), kernelID)
 	}
 	fmt.Printf("selection under %.1f W: %v\n", capW, sel.Config)
 	fmt.Printf("  predicted: %.2f /s at %.1f W (meets cap: %v)\n",

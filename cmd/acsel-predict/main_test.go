@@ -127,16 +127,14 @@ func TestPredictRemoteAgreesWithLocal(t *testing.T) {
 	if !ok {
 		t.Fatalf("service has no shard for %s", kernelID)
 	}
+	pred, err := m.Predict(sr)
+	if err != nil {
+		t.Fatal(err)
+	}
 	c := &query.Client{BaseURL: srv.URL}
 	for _, capW := range []float64{5, 10, 20, 27.5, 40} {
 		for _, z := range []float64{0, 1.5} {
-			var local core.Selection
-			var err error
-			if z > 0 {
-				local, err = m.SelectUnderCapVarAware(sr, capW, z)
-			} else {
-				local, err = m.SelectUnderCap(sr, capW)
-			}
+			local, err := pred.Select(capW, z)
 			if err != nil {
 				t.Fatal(err)
 			}

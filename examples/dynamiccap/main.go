@@ -1,8 +1,8 @@
 // Dynamiccap: demonstrate that the predicted Pareto frontier makes the
 // system adaptable to dynamic power constraints (§III-C) — when the
 // cluster-level power policy changes the node's budget, the scheduler
-// re-walks the already-predicted frontier instead of re-profiling or
-// re-examining every configuration.
+// re-selects from the already-predicted configuration space instead of
+// re-profiling or re-predicting.
 //
 //	go run ./examples/dynamiccap
 package main
@@ -45,8 +45,8 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// Two sample iterations, once — the frontier is then reusable for
-	// every future cap change.
+	// Two sample iterations and one prediction, once — the prediction
+	// table is then reusable for every future cap change.
 	cpuRun, err := prof.RunConfig(kernel, apu.SampleConfigCPU(), 0)
 	if err != nil {
 		log.Fatal(err)
@@ -55,29 +55,25 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	sr := core.SampleRuns{CPU: cpuRun, GPU: gpuRun}
-	frontier, _, err := model.PredictedFrontier(sr)
+	pred, err := model.Predict(core.SampleRuns{CPU: cpuRun, GPU: gpuRun})
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("%s: predicted frontier has %d points (out of %d configurations)\n\n",
-		target, frontier.Len(), prof.Space.Len())
+		target, pred.Frontier().Len(), prof.Space.Len())
 
 	// A power policy that tightens, then relaxes, the node budget.
 	schedule := []float64{40, 30, 24, 18, 14, 18, 24, 30, 40}
 	fmt.Printf("%-8s %-30s %-10s %-10s\n", "cap W", "config (from frontier walk)", "pred /s", "true W")
 	iter := 2
 	for _, capW := range schedule {
-		pt, ok := frontier.BestUnderCap(capW)
-		if !ok {
-			// Below the predicted floor: take the minimum-power point.
-			var err error
-			pt, err = frontier.MinPower()
-			if err != nil {
-				log.Fatal(err)
-			}
+		// Below the predicted floor, Select falls back to the
+		// minimum-power configuration.
+		sel, err := pred.Select(capW, 0)
+		if err != nil {
+			log.Fatal(err)
 		}
-		s, err := prof.Run(kernel, pt.ID, iter)
+		s, err := prof.Run(kernel, sel.ConfigID, iter)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -87,6 +83,6 @@ func main() {
 			mark = " (over)"
 		}
 		fmt.Printf("%-8.0f %-30v %-10.2f %-10.1f%s\n",
-			capW, prof.Space.Configs[pt.ID], pt.Perf, s.TotalPowerW(), mark)
+			capW, sel.Config, sel.Predicted.Perf, s.TotalPowerW(), mark)
 	}
 }

@@ -63,7 +63,11 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		sel, err := model.SelectUnderCap(core.SampleRuns{CPU: cpuRun, GPU: gpuRun}, capW)
+		pred, err := model.Predict(core.SampleRuns{CPU: cpuRun, GPU: gpuRun})
+		if err != nil {
+			log.Fatal(err)
+		}
+		sel, err := pred.Select(capW, 0)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -330,24 +330,27 @@ func median(xs []float64) float64 {
 func TestPredictedFrontier(t *testing.T) {
 	profs, m, _ := trained(t)
 	kp := profs[0]
-	f, preds, err := m.PredictedFrontier(SampleRuns{CPU: kp.CPUSample, GPU: kp.GPUSample})
+	pred, err := m.Predict(SampleRuns{CPU: kp.CPUSample, GPU: kp.GPUSample})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if f.Len() < 2 {
+	if f := pred.Frontier(); f.Len() < 2 {
 		t.Errorf("predicted frontier has %d points", f.Len())
 	}
-	if len(preds) != cachedSpace.Len() {
-		t.Errorf("preds = %d", len(preds))
+	if len(pred.Preds) != cachedSpace.Len() {
+		t.Errorf("preds = %d", len(pred.Preds))
 	}
 }
 
 func TestSelectUnderCapRespectsPrediction(t *testing.T) {
 	profs, m, _ := trained(t)
 	kp := profs[0]
-	sr := SampleRuns{CPU: kp.CPUSample, GPU: kp.GPUSample}
+	pred, err := m.Predict(SampleRuns{CPU: kp.CPUSample, GPU: kp.GPUSample})
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, cap := range []float64{12, 18, 25, 35, 60} {
-		sel, err := m.SelectUnderCap(sr, cap)
+		sel, err := pred.Select(cap, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -363,10 +366,13 @@ func TestSelectUnderCapRespectsPrediction(t *testing.T) {
 func TestSelectUnderCapMonotonePerf(t *testing.T) {
 	profs, m, _ := trained(t)
 	kp := profs[5]
-	sr := SampleRuns{CPU: kp.CPUSample, GPU: kp.GPUSample}
+	pred, err := m.Predict(SampleRuns{CPU: kp.CPUSample, GPU: kp.GPUSample})
+	if err != nil {
+		t.Fatal(err)
+	}
 	prevPerf := -1.0
 	for _, cap := range []float64{14, 18, 22, 28, 36, 50} {
-		sel, err := m.SelectUnderCap(sr, cap)
+		sel, err := pred.Select(cap, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -382,7 +388,11 @@ func TestSelectUnderCapMonotonePerf(t *testing.T) {
 func TestSelectUnderCapFallback(t *testing.T) {
 	profs, m, _ := trained(t)
 	kp := profs[0]
-	sel, err := m.SelectUnderCap(SampleRuns{CPU: kp.CPUSample, GPU: kp.GPUSample}, 0.1)
+	pred, err := m.Predict(SampleRuns{CPU: kp.CPUSample, GPU: kp.GPUSample})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sel, err := pred.Select(0.1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -390,8 +400,10 @@ func TestSelectUnderCapFallback(t *testing.T) {
 		t.Error("impossible cap cannot be met")
 	}
 	// The fallback must be the minimum-predicted-power config.
-	preds, _, _ := m.PredictAll(SampleRuns{CPU: kp.CPUSample, GPU: kp.GPUSample})
-	for _, p := range preds {
+	if sel.ConfigID != pred.MinPowerID {
+		t.Errorf("fallback config %d, MinPowerID %d", sel.ConfigID, pred.MinPowerID)
+	}
+	for _, p := range pred.Preds {
 		if p.PowerW < sel.Predicted.PowerW-1e-9 {
 			t.Errorf("fallback %v W is not minimal (%v W exists)", sel.Predicted.PowerW, p.PowerW)
 		}
@@ -401,12 +413,15 @@ func TestSelectUnderCapFallback(t *testing.T) {
 func TestVarAwareSelectionMoreConservative(t *testing.T) {
 	profs, m, _ := trained(t)
 	kp := profs[2]
-	sr := SampleRuns{CPU: kp.CPUSample, GPU: kp.GPUSample}
-	base, err := m.SelectUnderCap(sr, 25)
+	pred, err := m.Predict(SampleRuns{CPU: kp.CPUSample, GPU: kp.GPUSample})
 	if err != nil {
 		t.Fatal(err)
 	}
-	va, err := m.SelectUnderCapVarAware(sr, 25, 2)
+	base, err := pred.Select(25, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	va, err := pred.Select(25, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -414,7 +429,7 @@ func TestVarAwareSelectionMoreConservative(t *testing.T) {
 		t.Errorf("variance-aware pick draws more predicted power (%v) than base (%v)",
 			va.Predicted.PowerW, base.Predicted.PowerW)
 	}
-	if _, err := m.SelectUnderCapVarAware(sr, 25, -1); err == nil {
+	if _, err := pred.Select(25, -1); err == nil {
 		t.Error("negative z accepted")
 	}
 }
@@ -448,7 +463,11 @@ func TestOnlineSelectionLatency(t *testing.T) {
 	sr := SampleRuns{CPU: kp.CPUSample, GPU: kp.GPUSample}
 	res := testing.Benchmark(func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := m.SelectUnderCap(sr, 25); err != nil {
+			pred, err := m.Predict(sr)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := pred.Select(25, 0); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -493,7 +512,11 @@ func BenchmarkOnlineSelection(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := m.SelectUnderCap(sr, 25); err != nil {
+		pred, err := m.Predict(sr)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := pred.Select(25, 0); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -504,16 +527,15 @@ func BenchmarkOnlineSelection(b *testing.B) {
 func TestPropertyPredictedFrontierConsistent(t *testing.T) {
 	profs, m, _ := trained(t)
 	for _, kp := range profs {
-		sr := SampleRuns{CPU: kp.CPUSample, GPU: kp.GPUSample}
-		frontier, preds, err := m.PredictedFrontier(sr)
+		pred, err := m.Predict(SampleRuns{CPU: kp.CPUSample, GPU: kp.GPUSample})
 		if err != nil {
 			t.Fatal(err)
 		}
 		byID := map[int]Prediction{}
-		for _, p := range preds {
+		for _, p := range pred.Preds {
 			byID[p.ConfigID] = p
 		}
-		pts := frontier.Points()
+		pts := pred.Frontier().Points()
 		for i, pt := range pts {
 			p, ok := byID[pt.ID]
 			if !ok {
@@ -536,9 +558,12 @@ func TestPropertySelectionInvariants(t *testing.T) {
 	profs, m, space := trained(t)
 	caps := []float64{5, 11, 14, 17, 20, 24, 29, 35, 45, 60}
 	for _, kp := range profs[:20] {
-		sr := SampleRuns{CPU: kp.CPUSample, GPU: kp.GPUSample}
+		pred, err := m.Predict(SampleRuns{CPU: kp.CPUSample, GPU: kp.GPUSample})
+		if err != nil {
+			t.Fatal(err)
+		}
 		for _, capW := range caps {
-			sel, err := m.SelectUnderCap(sr, capW)
+			sel, err := pred.Select(capW, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -551,11 +576,7 @@ func TestPropertySelectionInvariants(t *testing.T) {
 			}
 			if !sel.MeetsCapPredicted {
 				// Fallback must be the minimum-predicted-power config.
-				preds, _, err := m.PredictAll(sr)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for _, p := range preds {
+				for _, p := range pred.Preds {
 					if p.PowerW < sel.Predicted.PowerW-1e-9 {
 						t.Fatalf("%s cap %v: fallback not minimal", kp.KernelID, capW)
 					}

@@ -75,8 +75,8 @@ var ErrNoModel = errors.New("core: model component missing")
 
 // ErrCapInfeasible marks a power cap below the model's minimum feasible
 // predicted power: no configuration is predicted to fit, so a selection
-// can only be the minimum-power fallback. SelectUnderCap itself still
-// returns that fallback (the runtime's degradation ladder wants it);
+// can only be the minimum-power fallback. Predicted.Select itself
+// still returns that fallback (the runtime's degradation ladder wants it);
 // callers that treat an unsatisfiable cap as a hard failure — the
 // acsel-predict CLI, the query service's remote clients — wrap this
 // sentinel so the condition stays testable across process boundaries.
@@ -153,21 +153,6 @@ func (m *Model) PredictAll(sr SampleRuns) ([]Prediction, int, error) {
 	return out, c, nil
 }
 
-// PredictedFrontier derives the predicted Pareto frontier for a new
-// kernel (§III-C): the object a scheduler consults as power constraints
-// change, without re-examining every configuration.
-func (m *Model) PredictedFrontier(sr SampleRuns) (*pareto.Frontier, []Prediction, error) {
-	preds, _, err := m.PredictAll(sr)
-	if err != nil {
-		return nil, nil, err
-	}
-	pts := make([]pareto.Point, len(preds))
-	for i, p := range preds {
-		pts[i] = pareto.Point{ID: p.ConfigID, Power: p.PowerW, Perf: p.Perf}
-	}
-	return pareto.New(pts), preds, nil
-}
-
 // Selection is the outcome of an online configuration choice.
 type Selection struct {
 	ConfigID  int
@@ -180,64 +165,83 @@ type Selection struct {
 	Cluster           int
 }
 
-// SelectUnderCap picks the configuration predicted to maximize
-// performance within capW. When no configuration is predicted to fit,
-// it falls back to the minimum-predicted-power configuration, mirroring
-// the oracle's fallback so comparisons stay aligned.
-func (m *Model) SelectUnderCap(sr SampleRuns, capW float64) (Selection, error) {
-	return m.selectUnderCap(sr, capW, 0)
+// Predicted is one kernel's prediction table: the whole configuration
+// space predicted once from the kernel's two sample runs (§III-C),
+// which every later cap change re-selects from without re-predicting.
+type Predicted struct {
+	// Preds is indexed by configuration ID.
+	Preds   []Prediction
+	Cluster int
+	// MinPowerID is the minimum-predicted-power configuration, the
+	// fallback of an infeasible cap; -1 when every predicted power is
+	// NaN or +Inf.
+	MinPowerID int
 }
 
-// SelectUnderCapVarAware is the variance-aware extension (§VI): it
-// requires predicted power plus z·σ to fit under the cap, trading
-// expected performance for confidence.
-func (m *Model) SelectUnderCapVarAware(sr SampleRuns, capW, z float64) (Selection, error) {
+// Predict classifies the kernel and predicts every configuration once.
+func (m *Model) Predict(sr SampleRuns) (Predicted, error) {
+	preds, c, err := m.PredictAll(sr)
+	if err != nil {
+		return Predicted{}, err
+	}
+	return Predicted{Preds: preds, Cluster: c, MinPowerID: minPowerIndex(preds)}, nil
+}
+
+// Select picks the configuration predicted to maximize performance
+// with predicted power plus z·σ within capW (z = 0 is the paper's
+// Model selection, z > 0 the variance-aware extension of §VI). When
+// nothing is predicted to fit it falls back to MinPowerID with
+// MeetsCapPredicted false, mirroring the oracle's fallback.
+func (p Predicted) Select(capW, z float64) (Selection, error) {
 	if z < 0 {
 		return Selection{}, errors.New("core: negative z")
 	}
-	return m.selectUnderCap(sr, capW, z)
+	return SelectAmong(p.Preds, p.Cluster, capW, z)
 }
 
-func (m *Model) selectUnderCap(sr SampleRuns, capW, z float64) (Selection, error) {
-	preds, c, err := m.PredictAll(sr)
-	if err != nil {
-		return Selection{}, err
+// MinPowerW is the minimum predicted package power, the feasibility
+// floor a cap is measured against (+Inf when there is none).
+func (p Predicted) MinPowerW() float64 {
+	if p.MinPowerID < 0 {
+		return math.Inf(1)
 	}
-	return SelectAmong(preds, c, capW, z)
+	return p.Preds[p.MinPowerID].PowerW
+}
+
+// Frontier is the predicted Pareto frontier, for display.
+func (p Predicted) Frontier() *pareto.Frontier {
+	pts := make([]pareto.Point, len(p.Preds))
+	for i, pr := range p.Preds {
+		pts[i] = pareto.Point{ID: pr.ConfigID, Power: pr.PowerW, Perf: pr.Perf}
+	}
+	return pareto.New(pts)
 }
 
 // SelectAmong runs the cap-selection sweep over already-computed
 // predictions (as produced by PredictAll: indexed by configuration ID)
 // without copying them. It is the single selection loop behind
-// SelectUnderCap, the batch paths, and the query service's per-kernel
-// prediction cache, so every path yields bitwise-identical Selections
-// by construction.
+// Predicted.Select, so every path yields bitwise-identical Selections
+// by construction. An exact perf tie resolves to the lowest ID.
 //
 //lint:deterministic
 func SelectAmong(preds []Prediction, cluster int, capW, z float64) (Selection, error) {
 	if len(preds) == 0 {
 		return Selection{}, fmt.Errorf("%w: no predictions", ErrNoModel)
 	}
-	bestID, fallbackID := -1, -1
+	bestID := -1
 	bestPerf := math.Inf(-1)
-	minPow := math.Inf(1)
 	for _, p := range preds {
 		bound := p.PowerW + z*p.PowerStd
 		if bound <= capW && p.Perf > bestPerf {
 			bestPerf = p.Perf
 			bestID = p.ConfigID
 		}
-		if p.PowerW < minPow {
-			minPow = p.PowerW
-			fallbackID = p.ConfigID
-		}
 	}
-	sel := Selection{Cluster: cluster}
-	if bestID >= 0 {
-		sel.ConfigID = bestID
-		sel.MeetsCapPredicted = true
-	} else {
-		sel.ConfigID = fallbackID
+	sel := Selection{Cluster: cluster, ConfigID: bestID, MeetsCapPredicted: bestID >= 0}
+	if bestID < 0 {
+		if i := minPowerIndex(preds); i >= 0 {
+			sel.ConfigID = preds[i].ConfigID
+		}
 	}
 	if sel.ConfigID < 0 || sel.ConfigID >= len(preds) {
 		return Selection{}, fmt.Errorf("%w: prediction index %d of %d", ErrNoModel, sel.ConfigID, len(preds))
@@ -247,16 +251,27 @@ func SelectAmong(preds []Prediction, cluster int, capW, z float64) (Selection, e
 	return sel, nil
 }
 
+// minPowerIndex is the one floor rule: the index of the lowest
+// predicted power, NaN never winning and the lowest index winning a
+// tie; -1 when no power is below +Inf.
+func minPowerIndex(preds []Prediction) int {
+	idx := -1
+	minPow := math.Inf(1)
+	for i, p := range preds {
+		if p.PowerW < minPow {
+			minPow, idx = p.PowerW, i
+		}
+	}
+	return idx
+}
+
 // MinPredictedPowerW returns the minimum predicted package power across
 // predictions — the feasibility floor a cap is measured against.
 func MinPredictedPowerW(preds []Prediction) float64 {
-	minPow := math.Inf(1)
-	for _, p := range preds {
-		if p.PowerW < minPow {
-			minPow = p.PowerW
-		}
+	if i := minPowerIndex(preds); i >= 0 {
+		return preds[i].PowerW
 	}
-	return minPow
+	return math.Inf(1)
 }
 
 // RenderTree returns the classification tree in the indented format of

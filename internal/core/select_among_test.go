@@ -7,9 +7,10 @@ import (
 )
 
 // TestSelectAmongMatchesSelectUnderCap pins the refactor contract:
-// SelectUnderCap (and its variance-aware variant) must be exactly
-// PredictAll followed by SelectAmong, so any caller holding cached
-// predictions reproduces the direct selection bitwise.
+// selecting under a cap from the prediction table, Predict(sr).Select,
+// must be exactly PredictAll followed by SelectAmong, so any caller
+// holding cached predictions reproduces the direct selection bitwise,
+// and Predict's floor must be the fallback SelectAmong picks.
 func TestSelectAmongMatchesSelectUnderCap(t *testing.T) {
 	profs, m, _ := trained(t)
 	for _, kp := range profs[:6] {
@@ -18,27 +19,37 @@ func TestSelectAmongMatchesSelectUnderCap(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		pred, err := m.Predict(sr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if pred.Cluster != c || len(pred.Preds) != len(preds) {
+			t.Fatalf("%s: Predict cluster %d / %d preds, PredictAll %d / %d",
+				kp.KernelID, pred.Cluster, len(pred.Preds), c, len(preds))
+		}
 		for _, z := range []float64{0, 1.5} {
 			for cap := 2.0; cap <= 40; cap += 1.7 {
-				var direct Selection
-				var derr error
-				if z > 0 {
-					direct, derr = m.SelectUnderCapVarAware(sr, cap, z)
-				} else {
-					direct, derr = m.SelectUnderCap(sr, cap)
-				}
-				if derr != nil {
-					t.Fatal(derr)
+				direct, err := pred.Select(cap, z)
+				if err != nil {
+					t.Fatal(err)
 				}
 				got, err := SelectAmong(preds, c, cap, z)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if got != direct {
-					t.Fatalf("%s cap=%v z=%v: SelectAmong %+v != SelectUnderCap %+v",
+					t.Fatalf("%s cap=%v z=%v: SelectAmong %+v != Predict.Select %+v",
 						kp.KernelID, cap, z, got, direct)
 				}
 			}
+		}
+		floor, err := SelectAmong(preds, c, 0, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if floor.ConfigID != pred.MinPowerID || pred.MinPowerW() != MinPredictedPowerW(preds) {
+			t.Fatalf("%s: floor %d (%v W), MinPowerID %d (%v W)", kp.KernelID,
+				floor.ConfigID, MinPredictedPowerW(preds), pred.MinPowerID, pred.MinPowerW())
 		}
 	}
 }
@@ -64,7 +75,11 @@ func TestMinPredictedPowerW(t *testing.T) {
 	if math.IsInf(minW, 1) || minW < minPredictedPowerW {
 		t.Fatalf("MinPredictedPowerW = %v", minW)
 	}
-	sel, err := m.SelectUnderCap(sr, minW-1)
+	pred, err := m.Predict(sr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sel, err := pred.Select(minW-1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,7 +7,6 @@
 package pareto
 
 import (
-	"errors"
 	"math"
 	"sort"
 )
@@ -19,9 +18,6 @@ type Point struct {
 	Power float64 // watts (lower is better)
 	Perf  float64 // throughput, higher is better
 }
-
-// ErrEmpty is returned by queries on an empty frontier.
-var ErrEmpty = errors.New("pareto: empty frontier")
 
 // Dominates reports whether a dominates b: a is no worse in both
 // dimensions and strictly better in at least one.
@@ -107,38 +103,6 @@ func (f *Frontier) PositionOf(id int) int {
 		}
 	}
 	return -1
-}
-
-// BestUnderCap returns the highest-performance point with Power <= cap.
-// ok is false when no frontier point fits under the cap.
-func (f *Frontier) BestUnderCap(cap float64) (Point, bool) {
-	// Points are sorted by ascending power and ascending perf, so the
-	// last point under the cap is the best.
-	best, ok := Point{}, false
-	for _, p := range f.pts {
-		if p.Power <= cap {
-			best, ok = p, true
-		} else {
-			break
-		}
-	}
-	return best, ok
-}
-
-// MinPower returns the lowest-power point on the frontier.
-func (f *Frontier) MinPower() (Point, error) {
-	if len(f.pts) == 0 {
-		return Point{}, ErrEmpty
-	}
-	return f.pts[0], nil
-}
-
-// MaxPerf returns the highest-performance point on the frontier.
-func (f *Frontier) MaxPerf() (Point, error) {
-	if len(f.pts) == 0 {
-		return Point{}, ErrEmpty
-	}
-	return f.pts[len(f.pts)-1], nil
 }
 
 // SharedOrder extracts, for two frontiers, the positions of the

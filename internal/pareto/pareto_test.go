@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-	"testing/quick"
 )
 
 func TestDominates(t *testing.T) {
@@ -62,15 +61,6 @@ func TestNewEmpty(t *testing.T) {
 	if f.Len() != 0 {
 		t.Error("empty input should give empty frontier")
 	}
-	if _, err := f.MinPower(); err == nil {
-		t.Error("expected ErrEmpty")
-	}
-	if _, err := f.MaxPerf(); err == nil {
-		t.Error("expected ErrEmpty")
-	}
-	if _, ok := f.BestUnderCap(100); ok {
-		t.Error("BestUnderCap on empty should be !ok")
-	}
 }
 
 func TestFrontierSortedAscending(t *testing.T) {
@@ -86,37 +76,6 @@ func TestFrontierSortedAscending(t *testing.T) {
 			t.Fatalf("frontier not strictly increasing: %v then %v", prev, p)
 		}
 		prev = p
-	}
-}
-
-func TestBestUnderCap(t *testing.T) {
-	f := New([]Point{{0, 10, 0.2}, {1, 20, 0.6}, {2, 30, 1.0}})
-	p, ok := f.BestUnderCap(25)
-	if !ok || p.ID != 1 {
-		t.Errorf("BestUnderCap(25) = %v, %v", p, ok)
-	}
-	p, ok = f.BestUnderCap(10)
-	if !ok || p.ID != 0 {
-		t.Errorf("BestUnderCap(10) = %v, %v", p, ok)
-	}
-	if _, ok := f.BestUnderCap(9.99); ok {
-		t.Error("cap below min power must be !ok")
-	}
-	p, ok = f.BestUnderCap(1000)
-	if !ok || p.ID != 2 {
-		t.Errorf("BestUnderCap(1000) = %v, %v", p, ok)
-	}
-}
-
-func TestMinPowerMaxPerf(t *testing.T) {
-	f := New([]Point{{0, 10, 0.2}, {1, 20, 0.6}, {2, 30, 1.0}})
-	mn, err := f.MinPower()
-	if err != nil || mn.ID != 0 {
-		t.Errorf("MinPower = %v, %v", mn, err)
-	}
-	mx, err := f.MaxPerf()
-	if err != nil || mx.ID != 2 {
-		t.Errorf("MaxPerf = %v, %v", mx, err)
 	}
 }
 
@@ -216,44 +175,6 @@ func TestFrontierProperties(t *testing.T) {
 				t.Fatalf("trial %d: point %v neither on frontier nor dominated", trial, p)
 			}
 		}
-	}
-}
-
-// Property (testing/quick): BestUnderCap result always respects the cap
-// and is on the frontier.
-func TestBestUnderCapProperty(t *testing.T) {
-	f := func(raw [16]float64, capRaw float64) bool {
-		pts := make([]Point, 0, 8)
-		for i := 0; i < 8; i++ {
-			pw := math.Abs(math.Mod(raw[2*i], 100))
-			pf := math.Abs(math.Mod(raw[2*i+1], 10))
-			pts = append(pts, Point{i, pw, pf})
-		}
-		fr := New(pts)
-		cap := math.Abs(math.Mod(capRaw, 120))
-		p, ok := fr.BestUnderCap(cap)
-		if !ok {
-			// Then every frontier point must exceed the cap.
-			for _, q := range fr.Points() {
-				if q.Power <= cap {
-					return false
-				}
-			}
-			return true
-		}
-		if p.Power > cap {
-			return false
-		}
-		// No other frontier point under the cap may beat it.
-		for _, q := range fr.Points() {
-			if q.Power <= cap && q.Perf > p.Perf {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -1,16 +1,17 @@
 // Package query is the high-throughput selection service: it answers
-// SelectUnderCap-style queries — (kernel, cap watts, z) → predicted-best
+// cap-selection queries — (kernel, cap watts, z) → predicted-best
 // configuration — from one or more trained core.Models at production
 // call rates. The paper's runtime makes this decision once per kernel
 // invocation on one node; here the same decision is served concurrently
-// to many callers, which changes the engineering problem from "walk the
-// frontier" to "never walk it twice for the same question":
+// to many callers, which changes the engineering problem from "select
+// under the cap" to "never select twice for the same question":
 //
 //   - Per-kernel shards precompute the online stage's sample runs once
-//     and cache the model's full prediction vector per model
-//     generation, so a query is a cap sweep over cached predictions —
-//     core.SelectAmong, the exact loop behind core.SelectUnderCap, so
-//     every path is bitwise-identical to the single-threaded call.
+//     and cache the model's prediction table (core.Predicted) per model
+//     generation, so a query is core.Predicted.Select over cached
+//     predictions — the same call every other consumer makes, so every
+//     path is bitwise-identical to the single-threaded
+//     Predict(sr).Select(cap, z).
 //   - A bounded worker pool with a depth-limited queue provides
 //     admission control: a full queue sheds the request with a typed
 //     ErrOverloaded (the HTTP layer's 429) instead of queueing without
@@ -138,8 +139,8 @@ func (r Request) Validate() error {
 }
 
 // Response is one answered query. Selection is bitwise-identical to
-// core.SelectUnderCap(sr, EffectiveCapW) (variance-aware for Z > 0) on
-// the model generation named by ModelHash.
+// Predict(sr).Select(EffectiveCapW, Z) on the model generation named by
+// ModelHash.
 type Response struct {
 	Kernel        string         `json:"kernel"`
 	CapW          float64        `json:"cap_w"`
@@ -174,12 +175,10 @@ type generation struct {
 	seq   uint64
 }
 
-// shardPreds is one shard's prediction state for one generation.
+// shardPreds is one shard's prediction table for one generation.
 type shardPreds struct {
-	genHash   string
-	cluster   int
-	preds     []core.Prediction
-	minPowerW float64
+	genHash string
+	pred    core.Predicted
 }
 
 // shard is one kernel's slot: its precomputed sample runs plus the
@@ -211,16 +210,11 @@ func (sh *shard) predictions(g *generation) (*shardPreds, error) {
 	if p := sh.preds.Load(); p != nil && p.genHash == g.hash {
 		return p, nil
 	}
-	preds, cluster, err := g.model.PredictAll(sh.sr)
+	pred, err := g.model.Predict(sh.sr)
 	if err != nil {
 		return nil, err
 	}
-	p := &shardPreds{
-		genHash:   g.hash,
-		cluster:   cluster,
-		preds:     preds,
-		minPowerW: core.MinPredictedPowerW(preds),
-	}
+	p := &shardPreds{genHash: g.hash, pred: pred}
 	sh.preds.Store(p)
 	return p, nil
 }
@@ -597,7 +591,7 @@ func (s *Service) handle(t *task) {
 		r.err = err
 	} else {
 		s.slowShard(t.shard.kernel)
-		sel, err := core.SelectAmong(sp.preds, sp.cluster, t.capW, t.z)
+		sel, err := sp.pred.Select(t.capW, t.z)
 		if err != nil {
 			r.err = err
 		} else {
@@ -607,7 +601,7 @@ func (s *Service) handle(t *task) {
 				EffectiveCapW: t.capW,
 				Z:             t.z,
 				Selection:     sel,
-				MinPowerW:     sp.minPowerW,
+				MinPowerW:     sp.pred.MinPowerW(),
 				ModelHash:     t.gen.hash,
 				ModelSeq:      t.gen.seq,
 			}

@@ -88,13 +88,11 @@ func oracle(t *testing.T, s *query.Service, m *core.Model, kernel string, effCap
 	if !ok {
 		t.Fatalf("no shard for %s", kernel)
 	}
-	var sel core.Selection
-	var err error
-	if z > 0 {
-		sel, err = m.SelectUnderCapVarAware(sr, effCapW, z)
-	} else {
-		sel, err = m.SelectUnderCap(sr, effCapW)
+	pred, err := m.Predict(sr)
+	if err != nil {
+		t.Fatal(err)
 	}
+	sel, err := pred.Select(effCapW, z)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +124,7 @@ func TestSelectMatchesOracle(t *testing.T) {
 }
 
 // TestSelectPathsBitwiseIdentical is the regression test for the
-// refactor: direct core.SelectUnderCap, the service's compute path, the
+// refactor: direct Predict(sr).Select, the service's compute path, the
 // cache path, and the batch path must agree bitwise — with caps chosen
 // to straddle every predicted-frontier breakpoint of every universe
 // kernel, where any epsilon drift between paths would flip the winner.
@@ -142,12 +140,12 @@ func TestSelectPathsBitwiseIdentical(t *testing.T) {
 		if !ok {
 			t.Fatal("missing shard")
 		}
-		frontier, _, err := mA.PredictedFrontier(sr)
+		pred, err := mA.Predict(sr)
 		if err != nil {
 			t.Fatal(err)
 		}
 		var caps []float64
-		for _, pt := range frontier.Points() {
+		for _, pt := range pred.Frontier().Points() {
 			caps = append(caps, pt.Power-eps, pt.Power+eps)
 		}
 		for _, z := range []float64{0, 1.5} {

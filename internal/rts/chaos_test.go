@@ -179,7 +179,7 @@ func TestLadderDemoteAndPromoteMechanics(t *testing.T) {
 	if st.rung != RungMinPower {
 		t.Fatalf("second demotion: rung %v", st.rung)
 	}
-	floorCfg, err := m.Space.ByID(st.minPowerID)
+	floorCfg, err := m.Space.ByID(st.pred.MinPowerID)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,10 +5,10 @@
 // divergence tracker, and the full step history — and Restore rebuilds
 // a runtime whose observable behaviour (Steps, Summarize, HealthFor,
 // and every future RunKernel decision) is reflect.DeepEqual-identical
-// to one that never stopped. Predictions and the Pareto frontier are
-// deliberately NOT persisted: they are a deterministic function of the
-// model and the persisted sample runs, so Restore recomputes them and
-// a snapshot can never disagree with the model that consumes it.
+// to one that never stopped. Predictions are deliberately NOT
+// persisted: they are a deterministic function of the model and the
+// persisted sample runs, so Restore recomputes them and a snapshot can
+// never disagree with the model that consumes it.
 package rts
 
 import (
@@ -42,8 +42,8 @@ type KernelCheckpoint struct {
 	Key  string `json:"key"`
 	Iter int    `json:"iter"`
 	// Adapted records whether classification has happened (iter >= 2
-	// on an uninterrupted run); Restore recomputes the frontier and
-	// predictions from the samples only when true.
+	// on an uninterrupted run); Restore recomputes the predictions
+	// from the samples only when true.
 	Adapted   bool            `json:"adapted"`
 	CPUSample profiler.Sample `json:"cpu_sample"`
 	GPUSample profiler.Sample `json:"gpu_sample"`
@@ -97,7 +97,7 @@ func (rt *Runtime) Snapshot() *Snapshot {
 		kc := KernelCheckpoint{
 			Key:           key,
 			Iter:          st.iter,
-			Adapted:       st.preds != nil,
+			Adapted:       st.pred.Preds != nil,
 			CPUSample:     st.cpuSample,
 			GPUSample:     st.gpuSample,
 			Cluster:       st.cluster,
@@ -105,7 +105,7 @@ func (rt *Runtime) Snapshot() *Snapshot {
 			PinnedCap:     st.pinnedCap,
 			Rung:          st.rung,
 			BaseRung:      st.baseRung,
-			MinPowerID:    st.minPowerID,
+			MinPowerID:    st.pred.MinPowerID,
 			Healthy:       st.healthy,
 			Unhealthy:     st.unhealthy,
 			DivEWMA:       ewma,
@@ -134,12 +134,13 @@ func (rt *Runtime) Snapshot() *Snapshot {
 var ErrBadSnapshot = errors.New("rts: invalid snapshot")
 
 // Restore replaces the runtime's state with a snapshot taken from a
-// runtime over the same model and options. Per-kernel predictions and
-// frontiers are recomputed from the persisted sample runs — the same
-// deterministic computation adapt performed originally — so the
-// restored runtime's future selections match the uninterrupted run's
-// exactly. Restore fully overwrites prior state; call it on a fresh
-// runtime.
+// runtime over the same model and options. Per-kernel predictions are
+// recomputed from the persisted sample runs — the same deterministic
+// computation adapt performed originally — so the restored runtime's
+// future selections match the uninterrupted run's exactly; a recorded
+// minimum-power floor the recomputation disagrees with marks a
+// snapshot from another model and is rejected. Restore fully
+// overwrites prior state; call it on a fresh runtime.
 func (rt *Runtime) Restore(snap *Snapshot) error {
 	if snap == nil {
 		return fmt.Errorf("%w: nil", ErrBadSnapshot)
@@ -167,7 +168,7 @@ func (rt *Runtime) Restore(snap *Snapshot) error {
 			pinnedCap:     kc.PinnedCap,
 			rung:          kc.Rung,
 			baseRung:      kc.BaseRung,
-			minPowerID:    kc.MinPowerID,
+			pred:          core.Predicted{MinPowerID: kc.MinPowerID},
 			healthy:       kc.Healthy,
 			unhealthy:     kc.Unhealthy,
 			demotions:     kc.Demotions,
@@ -185,12 +186,15 @@ func (rt *Runtime) Restore(snap *Snapshot) error {
 		}
 		if kc.Adapted {
 			sr := core.SampleRuns{CPU: kc.CPUSample, GPU: kc.GPUSample}
-			frontier, preds, err := rt.model.PredictedFrontier(sr)
+			pred, err := rt.model.Predict(sr)
 			if err != nil {
 				return fmt.Errorf("rts: restoring %q: %w", kc.Key, err)
 			}
-			st.frontier = frontier
-			st.preds = preds
+			if pred.MinPowerID != kc.MinPowerID {
+				return fmt.Errorf("%w: kernel %q floor config %d, model predicts %d",
+					ErrBadSnapshot, kc.Key, kc.MinPowerID, pred.MinPowerID)
+			}
+			st.pred = pred
 		}
 		kernels[kc.Key] = st
 	}

@@ -198,7 +198,7 @@ func TestRestoreCarriesCap(t *testing.T) {
 }
 
 func TestRestoreRejectsBadSnapshots(t *testing.T) {
-	m, _ := trainedModel(t)
+	m, held := trainedModel(t)
 	rt, err := New(m, Options{CapW: 24})
 	if err != nil {
 		t.Fatal(err)
@@ -213,6 +213,15 @@ func TestRestoreRejectsBadSnapshots(t *testing.T) {
 		"duplicate key": {Version: SnapshotVersion, CapW: 24,
 			Kernels: []KernelCheckpoint{{Key: "a"}, {Key: "a"}}},
 	}
+	// An adapted kernel whose recorded floor the model does not predict
+	// was snapshotted over another model.
+	adapted, err := New(m, Options{CapW: 24})
+	if err != nil {
+		t.Fatal(err)
+	}
+	driveSteps(t, adapted, held[:1], 0, 2)
+	cases["foreign floor"] = adapted.Snapshot()
+	cases["foreign floor"].Kernels[0].MinPowerID++
 	for name, snap := range cases {
 		if err := rt.Restore(snap); err == nil {
 			t.Errorf("%s: Restore accepted %+v", name, snap)

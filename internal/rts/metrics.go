@@ -23,7 +23,7 @@ var (
 	mDropouts = metrics.NewCounter("acsel_rts_sensor_dropouts_total",
 		"Sensor dropout events, including bounded re-reads.")
 	mReselectFallback = metrics.NewCounter("acsel_rts_reselect_fallback_total",
-		"Reselections that found no predicted-frontier point under the cap and fell back to minimum predicted power.")
+		"Reselections that found no configuration predicted to fit the cap and fell back to minimum predicted power.")
 	mDivergence = metrics.NewGauge("acsel_rts_model_divergence_ratio",
 		"Most recently observed smoothed |measured-predicted|/predicted power divergence (EWMA).")
 	mRestores = metrics.NewCounter("acsel_rts_restores_total",

@@ -2,12 +2,12 @@
 // library is "designed to provide a foundation for" (§III-D): it
 // executes an application's kernels iteration by iteration, spends each
 // kernel's first two iterations on the sample configurations (§III-C),
-// classifies the kernel and caches its predicted Pareto frontier, pins
-// the kernel to the best predicted configuration under the current
-// power cap, and thereafter re-walks the cached frontier whenever the
-// cap changes — without re-profiling or re-examining all
-// configurations. An optional feedback limiter steps the pinned
-// configuration's frequency down when measured power exceeds the cap.
+// predicts the kernel's whole configuration space once (core.Predict),
+// pins the kernel to the best predicted configuration under the current
+// power cap, and thereafter re-selects from the cached predictions
+// whenever the cap changes — without re-profiling or re-predicting.
+// An optional feedback limiter steps the pinned configuration's
+// frequency down when measured power exceeds the cap.
 package rts
 
 import (
@@ -22,7 +22,6 @@ import (
 	"acsel/internal/core"
 	"acsel/internal/fault"
 	"acsel/internal/kernels"
-	"acsel/internal/pareto"
 	"acsel/internal/power"
 	"acsel/internal/profiler"
 	"acsel/internal/rapl"
@@ -167,8 +166,7 @@ type kernelState struct {
 	cpuSample profiler.Sample
 	gpuSample profiler.Sample
 	cluster   int
-	frontier  *pareto.Frontier
-	preds     []core.Prediction
+	pred      core.Predicted // nil Preds until adaptation
 	pinned    apu.Config
 	pinnedCap float64 // cap the pin was chosen for
 
@@ -176,7 +174,6 @@ type kernelState struct {
 	// armed (Options.Watchdog or a fault plan).
 	rung          Rung
 	baseRung      Rung // rung recovery stops at (ModelFL when FL opt is on)
-	minPowerID    int  // config ID of the min predicted-power floor
 	healthy       int  // consecutive healthy pinned iterations
 	unhealthy     int  // consecutive unhealthy pinned iterations
 	div           core.DivergenceTracker
@@ -298,6 +295,14 @@ func (rt *Runtime) applyRetryBudget() int {
 	return defaultApplyRetries
 }
 
+// selectZ is the variance-aware margin; a non-positive VarAwareZ is off.
+func (rt *Runtime) selectZ() float64 {
+	if rt.opts.VarAwareZ > 0 {
+		return rt.opts.VarAwareZ
+	}
+	return 0
+}
+
 func (rt *Runtime) measureRetryBudget() int {
 	if rt.opts.MaxMeasureRetries > 0 {
 		return rt.opts.MaxMeasureRetries
@@ -314,7 +319,7 @@ func (rt *Runtime) Profiler() *profiler.Profiler { return rt.prof }
 func (rt *Runtime) PStates() *acpi.Manager { return rt.pm }
 
 // SetCap updates the power cap. Already-pinned kernels re-select from
-// their cached predicted frontiers on their next iteration. NaN,
+// their cached predictions on their next iteration. NaN,
 // infinite, and non-positive wattages are rejected: a NaN cap would
 // silently disable every under-cap comparison downstream.
 func (rt *Runtime) SetCap(w float64) error {
@@ -355,7 +360,7 @@ func (rt *Runtime) RunKernelAt(k kernels.Kernel, callsite string) (Step, error) 
 	rt.mu.Lock()
 	st, ok := rt.kernels[key]
 	if !ok {
-		st = &kernelState{cluster: -1, minPowerID: -1}
+		st = &kernelState{cluster: -1, pred: core.Predicted{MinPowerID: -1}}
 		if rt.opts.FL {
 			st.rung = RungModelFL
 		}
@@ -436,7 +441,8 @@ func (rt *Runtime) runSample(k kernels.Kernel, st *kernelState, cfg apu.Config, 
 func (rt *Runtime) runPinned(k kernels.Kernel, st *kernelState, key string, capW float64) (Step, error) {
 	armed := rt.ladderArmed()
 	if !stats.AlmostEqual(st.pinnedCap, capW) {
-		// Cap changed: re-walk the cached frontier (no re-profiling).
+		// Cap changed: re-select from the cached predictions (no
+		// re-profiling).
 		if err := rt.reselect(st, capW); err != nil {
 			return Step{}, err
 		}
@@ -577,8 +583,8 @@ func (rt *Runtime) demote(st *kernelState, capW float64) {
 	st.demotions++
 	mLadderTransitions.With("demote").Inc()
 	st.div.Reset()
-	if st.rung == RungMinPower && st.minPowerID >= 0 {
-		if cfg, err := rt.model.Space.ByID(st.minPowerID); err == nil {
+	if st.rung == RungMinPower && st.pred.MinPowerID >= 0 {
+		if cfg, err := rt.model.Space.ByID(st.pred.MinPowerID); err == nil {
 			st.pinned = cfg
 			st.pinnedCap = capW
 		}
@@ -608,84 +614,45 @@ func (rt *Runtime) promote(st *kernelState, capW float64) {
 // NaN if the kernel has no cached prediction for it.
 func (rt *Runtime) predictedW(st *kernelState, cfg apu.Config) float64 {
 	id := rt.model.Space.IDOf(cfg)
-	if id < 0 {
+	if id < 0 || id >= len(st.pred.Preds) {
 		return math.NaN()
 	}
-	// Predictions are cached in config-ID order, but scan as a
-	// fallback in case that invariant ever changes.
-	if id < len(st.preds) && st.preds[id].ConfigID == id {
-		return st.preds[id].PowerW
-	}
-	for _, p := range st.preds {
-		if p.ConfigID == id {
-			return p.PowerW
-		}
-	}
-	return math.NaN()
+	return st.pred.Preds[id].PowerW
 }
 
-// adapt classifies the kernel from its two samples, caches predictions
-// and the predicted frontier, and pins the initial configuration.
+// adapt predicts the kernel's configuration space once from its two
+// samples, caches the table, and pins the initial configuration.
 func (rt *Runtime) adapt(st *kernelState, capW float64) error {
-	sr := core.SampleRuns{CPU: st.cpuSample, GPU: st.gpuSample}
-	frontier, preds, err := rt.model.PredictedFrontier(sr)
+	pred, err := rt.model.Predict(core.SampleRuns{CPU: st.cpuSample, GPU: st.gpuSample})
 	if err != nil {
 		return err
 	}
-	cluster, err := rt.model.Classify(sr)
-	if err != nil {
-		return err
-	}
-	st.cluster = cluster
-	st.frontier = frontier
-	st.preds = preds
-	st.minPowerID = minPowerConfig(preds)
+	st.pred = pred
+	st.cluster = pred.Cluster
 	return rt.reselect(st, capW)
-}
-
-// minPowerConfig finds the minimum predicted-power configuration — the
-// ladder's conservative floor. NaN predictions never win a < race, so
-// a poisoned prediction set still yields a deterministic pick.
-func minPowerConfig(preds []core.Prediction) int {
-	bestID := -1
-	minW := -1.0
-	for _, p := range preds {
-		if bestID < 0 || p.PowerW < minW {
-			minW, bestID = p.PowerW, p.ConfigID
-		}
-	}
-	return bestID
 }
 
 // reselect picks the pinned configuration from cached predictions for
 // the current cap.
 func (rt *Runtime) reselect(st *kernelState, capW float64) error {
-	if st.preds == nil {
+	if st.pred.Preds == nil {
 		return errors.New("rts: reselect before adaptation")
 	}
-	bestID := -1
-	if rt.opts.VarAwareZ > 0 {
-		best := -1.0
-		for _, p := range st.preds {
-			if p.PowerW+rt.opts.VarAwareZ*p.PowerStd <= capW && p.Perf > best {
-				best, bestID = p.Perf, p.ConfigID
-			}
-		}
-	} else if pt, ok := st.frontier.BestUnderCap(capW); ok {
-		bestID = pt.ID
+	sel, err := st.pred.Select(capW, rt.selectZ())
+	if err != nil {
+		return err
 	}
-	if bestID < 0 {
-		// Fall back to the minimum predicted power configuration.
-		bestID = minPowerConfig(st.preds)
+	if !sel.MeetsCapPredicted {
 		mReselectFallback.Inc()
 	}
-	if rt.ladderArmed() && st.rung == RungMinPower && st.minPowerID >= 0 {
+	id := sel.ConfigID
+	if rt.ladderArmed() && st.rung == RungMinPower && st.pred.MinPowerID >= 0 {
 		// A kernel on the bottom rung stays floored at minimum power
 		// regardless of what the cap would allow — recovery goes
 		// through promote, not through a cap change.
-		bestID = st.minPowerID
+		id = st.pred.MinPowerID
 	}
-	cfg, err := rt.model.Space.ByID(bestID)
+	cfg, err := rt.model.Space.ByID(id)
 	if err != nil {
 		return err
 	}
@@ -852,10 +819,10 @@ func (rt *Runtime) PredictionsFor(key string) ([]core.Prediction, bool) {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
 	st, ok := rt.kernels[key]
-	if !ok || st.preds == nil {
+	if !ok || st.pred.Preds == nil {
 		return nil, false
 	}
-	return append([]core.Prediction(nil), st.preds...), true
+	return append([]core.Prediction(nil), st.pred.Preds...), true
 }
 
 // AdaptedKernels lists the keys (kernel IDs, possibly with call-site
@@ -865,7 +832,7 @@ func (rt *Runtime) AdaptedKernels() []string {
 	defer rt.mu.Unlock()
 	var out []string
 	for key, st := range rt.kernels {
-		if st.preds != nil {
+		if st.pred.Preds != nil {
 			out = append(out, key)
 		}
 	}

@@ -94,7 +94,7 @@ func (r *Runner) DecideNaive(m Method, truth Truth, readings Readings, sr core.S
 	case MethodGPUFL:
 		return r.limitNaiveGPU(truth, read, capW), nil
 	case MethodModelFL:
-		sel, err := r.selectModel(sr, capW)
+		_, sel, err := r.predictSelect(sr, capW)
 		if err != nil {
 			return Decision{}, err
 		}
@@ -222,35 +222,13 @@ func (r *Runner) DecideHardened(m Method, truth Truth, readings Readings, sr cor
 		// phase when distrust accrues, so only the step-down line runs.
 		return r.limitHardened(MethodGPUFL, truth, readings, start, capW, -1), nil
 	case MethodModelFL:
-		sel, err := r.selectModel(sr, capW)
+		p, sel, err := r.predictSelect(sr, capW)
 		if err != nil {
 			return Decision{}, err
 		}
-		floorID := r.modelFloorID(sr)
-		return r.limitHardened(MethodModelFL, truth, readings, sel.Config, capW, floorID), nil
+		return r.limitHardened(MethodModelFL, truth, readings, sel.Config, capW, p.MinPowerID), nil
 	}
 	return Decision{}, fmt.Errorf("sched: unknown method %d", int(m))
-}
-
-// modelFloorID is the model's minimum predicted-power configuration —
-// the hardened ladder's bottom rung. Returns -1 when predictions are
-// unavailable (the caller then floors at the frequency line's bottom).
-func (r *Runner) modelFloorID(sr core.SampleRuns) int {
-	if r.Model == nil {
-		return -1
-	}
-	preds, _, err := r.Model.PredictAll(sr)
-	if err != nil {
-		return -1
-	}
-	bestID := -1
-	minW := -1.0
-	for _, p := range preds {
-		if bestID < 0 || p.PowerW < minW {
-			minW, bestID = p.PowerW, p.ConfigID
-		}
-	}
-	return bestID
 }
 
 // readAgreeFrac is the maximum relative disagreement between two

@@ -24,7 +24,7 @@ type Method int
 const (
 	// MethodOracle has perfect knowledge of the kernel's behaviour.
 	MethodOracle Method = iota
-	// MethodModel uses the predicted frontier without feedback.
+	// MethodModel selects from the model's predictions without feedback.
 	MethodModel
 	// MethodModelFL combines the model's device/thread selection with a
 	// frequency limiter driven by measured power.
@@ -246,10 +246,7 @@ func (r *Runner) GPUFL(truth Truth, capW float64) Decision {
 // ModelOnly applies the model's prediction directly: the configuration
 // predicted to maximize performance under the cap, with no feedback.
 func (r *Runner) ModelOnly(truth Truth, sr core.SampleRuns, capW float64) (Decision, error) {
-	if r.Model == nil {
-		return Decision{}, ErrNeedModel
-	}
-	sel, err := r.selectModel(sr, capW)
+	_, sel, err := r.predictSelect(sr, capW)
 	if err != nil {
 		return Decision{}, err
 	}
@@ -259,12 +256,23 @@ func (r *Runner) ModelOnly(truth Truth, sr core.SampleRuns, capW float64) (Decis
 	return r.finish(MethodModel, truth, sel.ConfigID, 0), nil
 }
 
-// selectModel applies the configured selection variant.
-func (r *Runner) selectModel(sr core.SampleRuns, capW float64) (core.Selection, error) {
-	if r.VarAwareZ > 0 {
-		return r.Model.SelectUnderCapVarAware(sr, capW, r.VarAwareZ)
+// predictSelect predicts the kernel's configuration space once and
+// selects under the cap with the configured variance-aware margin (a
+// non-positive VarAwareZ is off).
+func (r *Runner) predictSelect(sr core.SampleRuns, capW float64) (core.Predicted, core.Selection, error) {
+	if r.Model == nil {
+		return core.Predicted{}, core.Selection{}, ErrNeedModel
 	}
-	return r.Model.SelectUnderCap(sr, capW)
+	p, err := r.Model.Predict(sr)
+	if err != nil {
+		return core.Predicted{}, core.Selection{}, err
+	}
+	z := 0.0
+	if r.VarAwareZ > 0 {
+		z = r.VarAwareZ
+	}
+	sel, err := p.Select(capW, z)
+	return p, sel, err
 }
 
 // ModelFL combines the model with frequency limiting: the model picks
@@ -273,10 +281,7 @@ func (r *Runner) selectModel(sr core.SampleRuns, capW float64) (core.Selection, 
 // GPU first on GPU configurations, then the host CPU — while measured
 // power exceeds the cap.
 func (r *Runner) ModelFL(truth Truth, sr core.SampleRuns, capW float64) (Decision, error) {
-	if r.Model == nil {
-		return Decision{}, ErrNeedModel
-	}
-	sel, err := r.selectModel(sr, capW)
+	_, sel, err := r.predictSelect(sr, capW)
 	if err != nil {
 		return Decision{}, err
 	}
